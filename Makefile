@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-json alloc-test trace-demo failover postmortem-demo shard-stress
+.PHONY: check vet build test race bench bench-json alloc-test trace-demo failover postmortem-demo shard-stress perfbench-selftest
 
 # check is the tier-1 gate: vet, build everything, the full test suite with
 # the race detector, then the failover availability claims.
@@ -36,18 +36,24 @@ bench-json:
 failover:
 	$(GO) test -run TestFailoverClaims -count=1 ./internal/rmem
 
-# shard-stress hammers the conservative-parallel engine, the incremental
-# flow solver and the 512-node workload under the race detector — the
-# cross-engine determinism property tests run with real goroutine
-# parallelism so window-barrier and cross-shard-queue races surface. The
-# second line runs the full MPI stack and the one-sided layer on the
-# sharded engine (the confined-world cross-engine property tests plus the
-# engine bench rows) under the same detector.
+# shard-stress hammers the conservative-parallel engine and the incremental
+# flow solver under the race detector — the cross-engine determinism
+# property tests run with real goroutine parallelism so window-barrier and
+# cross-shard-queue races surface. The second line runs the torus
+# collective runtime (the 64-node ring allreduce), the full MPI stack and
+# the one-sided layer on the sharded engine (the cross-engine property
+# tests plus the engine bench rows) under the same detector.
 shard-stress:
-	$(GO) test -race -count=2 ./internal/sim/ ./internal/flow/ ./internal/scale/
-	$(GO) test -race -count=2 -run 'TestCrossEngine' ./internal/mpi/
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/flow/
+	$(GO) test -race -count=2 -run 'TestCrossEngine|TestTorus' ./internal/mpi/
 	$(GO) test -race -count=2 -run 'TestFenceEpochOnShardedEngine' ./internal/osc/
 	$(GO) test -race -count=1 -run 'TestEngineBenchSmall' ./internal/bench/
+
+# perfbench-selftest runs the repo benchmark's self-test. The benchmark is
+# its own Go module (perfbench/go.mod), so `go test ./...` at the root never
+# reaches it. See perfbench/README.md.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
 
 # alloc-test runs only the allocation-pinned hot-path tests (0 allocs/op on
 # pack and PIO fast paths); CI fails the bench job if these regress.

@@ -9,19 +9,19 @@ import (
 
 // The collective algorithm engine: every collective call is dispatched
 // through an algorithm chooser that ranks the implemented algorithm
-// families per message size and communicator size, extending the
-// rendezvous deposit chooser's design (pathsel.go) to whole collectives:
-// cost-model priors keep the first decisions consistent with what the
-// simulator bills, and an EWMA of achieved collective bandwidth refines
-// them as calls complete.
+// families per message size and communicator size, with the same chooser
+// type as the rendezvous deposit paths (chooser.go): cost-model priors
+// keep the first decisions consistent with what the simulator bills, and
+// an EWMA of achieved collective bandwidth refines them as calls complete.
 //
 // Correctness requires every member of a collective to pick the *same*
-// algorithm. The EWMA state therefore lives on the World, and each matched
-// call consumes a snapshot of it keyed by the call's sequence number
-// (World.callSeq): the first rank to enter call #k copies the live table,
-// the remaining members rank against the same copy, and completions fold
-// into the live table only. The simulation is single-threaded, so the
-// shared tables need no locking.
+// algorithm. The choosers therefore live on the World, and each matched
+// call is decided once: the first rank to enter call #k (World.callSeq)
+// ranks the candidates against the live choosers and memoizes the
+// algorithm, and the remaining members read the memo. Every input of the
+// ranking is identical on every member, so the memo only saves the repeat
+// work. The simulation is single-threaded, so the shared state needs no
+// locking.
 
 // CollAlg selects the algorithm family of a collective operation.
 type CollAlg int
@@ -120,57 +120,18 @@ func (k collKind) String() string {
 	}
 }
 
-// collEWMATable holds the per-(collective, algorithm) EWMA of achieved
-// bandwidth, bytes/sec (0 = never exercised).
-type collEWMATable [collKindCount][collAlgCount]float64
-
-// collSnapKey identifies one matched collective call across its members.
-type collSnapKey struct {
+// collCall identifies one matched collective call across its members.
+type collCall struct {
 	kind collKind
 	ctx  int
 	seq  int
 }
 
-// collSnap is the feedback-table copy all members of one matched call rank
-// against; left counts the members that have not consumed it yet.
-type collSnap struct {
-	tbl  collEWMATable
+// collDecision is the memoized algorithm of one matched call; left counts
+// the members that have not read it yet.
+type collDecision struct {
+	alg  CollAlg
 	left int
-}
-
-// collSnapshot returns the feedback table for this member's call #seq,
-// creating the snapshot on first entry and releasing it with the last.
-func (w *World) collSnapshot(kind collKind, ctx, seq, members int) collEWMATable {
-	key := collSnapKey{kind: kind, ctx: ctx, seq: seq}
-	if w.collSnaps == nil {
-		w.collSnaps = make(map[collSnapKey]*collSnap)
-	}
-	s, ok := w.collSnaps[key]
-	if !ok {
-		s = &collSnap{tbl: w.collLive, left: members}
-		w.collSnaps[key] = s
-	}
-	s.left--
-	if s.left <= 0 {
-		delete(w.collSnaps, key)
-	}
-	return s.tbl
-}
-
-// observeColl folds one completed collective into the live feedback table.
-func (w *World) observeColl(kind collKind, alg CollAlg, bytes int64, elapsed time.Duration) {
-	if bytes <= 0 || elapsed <= 0 {
-		return
-	}
-	bw := float64(bytes) / elapsed.Seconds()
-	alpha := w.protocol().CollEWMA
-	if alpha <= 0 || alpha > 1 {
-		alpha = defaultPathEWMA
-	}
-	if prev := w.collLive[kind][alg]; prev > 0 {
-		bw = alpha*bw + (1-alpha)*prev
-	}
-	w.collLive[kind][alg] = bw
 }
 
 // --- cost-model priors ---
@@ -365,8 +326,8 @@ func (c *Comm) collAlgOK(kind collKind, alg CollAlg, size int, bytes, perPeer in
 
 // chooseCollAlg picks the algorithm for one matched collective call. All
 // inputs are identical on every member, so every member picks the same
-// algorithm: forced policies resolve statically, and CollAuto ranks
-// against a call-sequence-keyed snapshot of the shared feedback table.
+// algorithm: forced policies resolve statically, and CollAuto is ranked
+// by the first member to enter and memoized for the rest.
 func (c *Comm) chooseCollAlg(kind collKind, size int, bytes, perPeer int64) CollAlg {
 	forced := c.rk.w.protocol().Coll
 	if forced != CollAuto {
@@ -383,24 +344,20 @@ func (c *Comm) chooseCollAlg(kind collKind, size int, bytes, perPeer int64) Coll
 	if len(cands) == 1 {
 		return cands[0]
 	}
-	seq := c.rk.w.callSeq("collalg."+kind.String(), c.ctx, c.rk.id)
-	tbl := c.rk.w.collSnapshot(kind, c.ctx, seq, size)
-	best, bestCost := CollP2P, time.Duration(0)
-	first := true
-	for _, a := range cands {
-		if !c.collAlgOK(kind, a, size, bytes, perPeer) {
-			continue
-		}
-		cost := c.modelColl(kind, a, size, bytes, perPeer)
-		if bw := tbl[kind][a]; bw > 0 {
-			cost = sim.RateDuration(bytes, bw)
-		}
-		if first || cost < bestCost {
-			best, bestCost = a, cost
-			first = false
-		}
+	w := c.rk.w
+	key := collCall{kind: kind, ctx: c.ctx, seq: w.callSeq("collalg."+kind.String(), c.ctx, c.rk.id)}
+	d, ok := w.collMemo[key]
+	if !ok {
+		d = collDecision{left: size, alg: w.collLive[kind].pick(cands, bytes,
+			func(a CollAlg) bool { return c.collAlgOK(kind, a, size, bytes, perPeer) },
+			func(a CollAlg) time.Duration { return c.modelColl(kind, a, size, bytes, perPeer) })}
 	}
-	return best
+	if d.left--; d.left > 0 {
+		w.collMemo[key] = d
+	} else {
+		delete(w.collMemo, key)
+	}
+	return d.alg
 }
 
 // --- per-call bookkeeping ---
@@ -435,7 +392,7 @@ func (op *collOp) end(err error) error {
 	op.sp.End(c.p.Now())
 	w.met.collNS[op.kind].ObserveDuration(c.p.Now() - op.start)
 	if err == nil && w.protocol().Coll == CollAuto {
-		w.observeColl(op.kind, op.alg, op.bytes, c.p.Now()-op.start)
+		w.collLive[op.kind].observe(op.alg, op.bytes, c.p.Now()-op.start)
 	}
 	return err
 }

@@ -124,8 +124,7 @@ func Run(cfg Config, main func(c *Comm)) time.Duration {
 
 // NewFabric builds the fabric Run would use for cfg: a sharded engine with
 // cfg.Shards shards when Shards > 1, else a one-locale wrap of a fresh
-// sequential engine. The lookahead is cfg.Lookahead, defaulting to the SCI
-// segment latency.
+// sequential engine. The lookahead is the SCI segment latency.
 func NewFabric(cfg Config) sim.Fabric {
 	la := lookaheadFor(cfg)
 	if cfg.Shards > 1 {
@@ -134,13 +133,10 @@ func NewFabric(cfg Config) sim.Fabric {
 	return sim.NewSeqFabric(sim.NewEngine(), 1, la)
 }
 
-// lookaheadFor resolves the conservative lookahead of a run: the explicit
-// override, the configured SCI segment latency, or the paper's 70 ns
-// B-Link segment delay.
+// lookaheadFor resolves the conservative lookahead of a run: the
+// configured SCI segment latency, or the paper's 70 ns B-Link segment
+// delay.
 func lookaheadFor(cfg Config) time.Duration {
-	if cfg.Lookahead > 0 {
-		return cfg.Lookahead
-	}
 	if cfg.SCI.SegmentLatency > 0 {
 		return cfg.SCI.SegmentLatency
 	}
@@ -160,19 +156,10 @@ func RunOn(f sim.Fabric, cfg Config, main func(c *Comm)) time.Duration {
 	return end
 }
 
-// NewWorldOn wires a cluster onto one locale of an existing fabric. The
-// hosting locale is cfg.Locale, or the shard cfg.Placement confines every
-// rank to. The caller runs the fabric.
+// NewWorldOn wires a cluster onto locale 0 of an existing fabric. The
+// caller runs the fabric.
 func NewWorldOn(f sim.Fabric, cfg Config) *World {
 	return newWorld(f, cfg)
-}
-
-// NewWorld wires a cluster onto an existing sequential engine, as a
-// one-locale fabric (the pre-fabric construction path, kept for harnesses
-// that drive the engine directly).
-func NewWorld(e *sim.Engine, cfg Config) *World {
-	cfg.Shards, cfg.Locale = 0, 0
-	return newWorld(sim.NewSeqFabric(e, 1, lookaheadFor(cfg)), cfg)
 }
 
 // Fabric returns the fabric the world's locale belongs to.
@@ -232,6 +219,7 @@ func (w *World) PublishMetrics(r *obs.Registry) {
 		r.SetGauge(obs.Name("mpi.device.duplicates", "rank", l), ds.Duplicates)
 		r.SetGauge(obs.Name("mpi.device.send_retries", "rank", l), ds.SendRetries)
 		r.SetGauge(obs.Name("mpi.device.send_timeouts", "rank", l), ds.SendTimeouts)
+		r.SetGauge(obs.Name("mpi.device.rdv_cancels", "rank", l), ds.RdvCancels)
 	}
 	ff, gen := w.PackStats()
 	for _, e := range []struct {
@@ -256,6 +244,7 @@ func (w *World) PublishMetrics(r *obs.Registry) {
 		r.SetGauge(obs.Name("sci.node.store_barriers", "node", l), ns.StoreBarriers)
 		r.SetGauge(obs.Name("sci.node.retries", "node", l), ns.Retries)
 		r.SetGauge(obs.Name("sci.node.dma_transfers", "node", l), ns.DMATransfers)
+		r.SetGauge(obs.Name("sci.node.dma_sg_transfers", "node", l), ns.DMASGTransfers)
 		r.SetGauge(obs.Name("sci.node.transfer_errors", "node", l), ns.TransferErrors)
 		r.SetGauge(obs.Name("sci.node.check_retries", "node", l), ns.CheckRetries)
 	}

@@ -117,7 +117,7 @@ func (w *World) revokeRank(p *sim.Proc, r int) {
 }
 
 // resetCollState drops the lazily built collective windows, view matrices
-// and chooser snapshots after a shrink. The algorithms rebuild them over
+// and decision memo after a shrink. The algorithms rebuild them over
 // the surviving membership on next use; every survivor is inside the
 // agreement when this runs, so no collective is in flight. The abandoned
 // segments stay exported but unread — stale deposits by a restored node
@@ -125,7 +125,7 @@ func (w *World) revokeRank(p *sim.Proc, r int) {
 func (w *World) resetCollState() {
 	w.collWins = nil
 	w.collViews = nil
-	w.collSnaps = nil
+	clear(w.collMemo)
 }
 
 // shrinkRec is the replicated decision record of one matched ShrinkChecked

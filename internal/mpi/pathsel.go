@@ -16,8 +16,8 @@ const (
 	// cost models, then refines the prediction with per-peer EWMA
 	// bandwidth estimates of the paths actually exercised.
 	PathAdaptive PathPolicy = iota
-	// PathStatic keeps the legacy static thresholds (UseFF/FFMinBlock
-	// decide ff vs generic; DMAMin gates contiguous DMA).
+	// PathStatic keeps the legacy static thresholds (UseFF decides ff vs
+	// generic; DMAMin gates contiguous DMA).
 	PathStatic
 	// PathPIO forces direct_pack_ff deposits (PIO block writes).
 	PathPIO
@@ -76,9 +76,9 @@ func (d depositPath) String() string {
 	}
 }
 
-// defaultPathEWMA is the blend factor of the per-peer bandwidth estimator
-// when ProtocolConfig.PathEWMA is unset.
-const defaultPathEWMA = 0.25
+// depositPaths lists the deposit paths in the adaptive chooser's
+// tie-break order.
+var depositPaths = []depositPath{depositFF, depositStaged, depositSG}
 
 // modelDeposit is the cost-model prior for depositing an n-byte chunk of
 // blocks contiguous blocks (average avgBlock bytes) on a remote SCI peer.
@@ -107,20 +107,10 @@ func (c *Comm) modelDeposit(path depositPath, n, avgBlock, blocks int64) time.Du
 	}
 }
 
-// predictDeposit estimates the duration of a deposit: the per-peer EWMA
-// bandwidth when the path has been exercised, the cost-model prior before
-// that. out.rdvLock is held, so the EWMA state needs no further locking.
-func (c *Comm) predictDeposit(out *sendPort, path depositPath, n, avgBlock, blocks int64) time.Duration {
-	if bw := out.paths[path]; bw > 0 {
-		return sim.RateDuration(n, bw)
-	}
-	return c.modelDeposit(path, n, avgBlock, blocks)
-}
-
-// chooseDeposit ranks the candidate paths for one chunk and returns the
-// predicted-cheapest. DMASGMinBlock keeps descriptor lists away from
-// tiny-block types where per-descriptor costs explode; forced policies
-// (PathPIO/PathStaged/PathDMA) bypass the ranking.
+// chooseDeposit ranks the candidate paths for one chunk with the pair's
+// chooser and returns the predicted-cheapest; forced policies
+// (PathPIO/PathStaged/PathDMA) bypass the ranking. out.rdvLock is held, so
+// the chooser state needs no further locking.
 func (c *Comm) chooseDeposit(out *sendPort, n, avgBlock, blocks int64) depositPath {
 	switch c.rk.w.protocol().Path {
 	case PathPIO:
@@ -130,31 +120,7 @@ func (c *Comm) chooseDeposit(out *sendPort, n, avgBlock, blocks int64) depositPa
 	case PathDMA:
 		return depositSG
 	}
-	best, bestCost := depositFF, c.predictDeposit(out, depositFF, n, avgBlock, blocks)
-	if cost := c.predictDeposit(out, depositStaged, n, avgBlock, blocks); cost < bestCost {
-		best, bestCost = depositStaged, cost
-	}
-	if min := c.rk.w.protocol().DMASGMinBlock; min <= 0 || avgBlock >= min {
-		if cost := c.predictDeposit(out, depositSG, n, avgBlock, blocks); cost < bestCost {
-			best = depositSG
-		}
-	}
-	return best
-}
-
-// observeDeposit folds a completed deposit into the per-peer EWMA
-// bandwidth estimate of its path (out.rdvLock held).
-func (c *Comm) observeDeposit(out *sendPort, path depositPath, n int64, elapsed time.Duration) {
-	if n <= 0 || elapsed <= 0 {
-		return
-	}
-	bw := float64(n) / elapsed.Seconds()
-	alpha := c.rk.w.protocol().PathEWMA
-	if alpha <= 0 || alpha > 1 {
-		alpha = defaultPathEWMA
-	}
-	if prev := out.paths[path]; prev > 0 {
-		bw = alpha*bw + (1-alpha)*prev
-	}
-	out.paths[path] = bw
+	return out.paths.pick(depositPaths, n, nil, func(path depositPath) time.Duration {
+		return c.modelDeposit(path, n, avgBlock, blocks)
+	})
 }

@@ -526,7 +526,7 @@ func (c *Comm) packChunkInto(out *sendPort, off int64, buf []byte, count int, dt
 		w.met.pathChosen[path].Inc()
 		c.rk.fl.Record(c.p.Now(), flight.KPathChosen, int64(path), n, 0, 0)
 		if err == nil {
-			c.observeDeposit(out, path, n, c.p.Now()-start)
+			out.paths.observe(path, n, c.p.Now()-start)
 		}
 		return err
 	default:

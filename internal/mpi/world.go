@@ -41,10 +41,6 @@ type ProtocolConfig struct {
 	// UseFF selects direct_pack_ff for non-contiguous datatypes; false
 	// forces the generic pack-and-send baseline everywhere.
 	UseFF bool
-	// FFMinBlock disables direct_pack_ff for types whose average block is
-	// smaller (the paper's footnote: an 8-byte granularity floor would
-	// avoid the regime where generic wins; 0 means always use ff).
-	FFMinBlock int64
 	// DMAMin, when positive, routes contiguous rendezvous chunks of at
 	// least this many bytes through the adapter's DMA engine instead of
 	// PIO (the paper's §6 outlook: "non-contiguous data transfers with
@@ -54,15 +50,6 @@ type ProtocolConfig struct {
 	// on remote-memory transports: adaptive prediction (the default),
 	// the legacy static thresholds, or a forced path (see PathPolicy).
 	Path PathPolicy
-	// PathEWMA is the blend factor of the adaptive chooser's per-peer
-	// bandwidth estimator (0 uses the default 0.25).
-	PathEWMA float64
-	// DMASGMinBlock keeps the scatter-gather DMA path away from types
-	// whose average contiguous block is smaller (a floor for deployments
-	// whose engines choke on tiny descriptors). 0, the default, disables
-	// the floor: the cost model already accounts for per-descriptor
-	// overheads, so the chooser is left to rank the paths itself.
-	DMASGMinBlock int64
 	// OSCBuf is the per-pair staging area for emulated one-sided transfers
 	// into private windows.
 	OSCBuf int64
@@ -82,9 +69,6 @@ type ProtocolConfig struct {
 	// first use). 0 disables the window and the one-sided collective
 	// algorithms.
 	CollSlot int64
-	// CollEWMA is the blend factor of the collective chooser's per-world
-	// bandwidth estimator (0 uses the deposit chooser's default 0.25).
-	CollEWMA float64
 	// CollTimeout bounds each internal wait inside a checked collective
 	// (BarrierChecked and friends): an expired wait surfaces as
 	// sci.ErrConnectionLost when the awaited peer's node is down, or a
@@ -114,17 +98,13 @@ func DefaultProtocol() ProtocolConfig {
 		RendezvousChunk: 64 << 10, // a quarter of the P-III L2: chunk + scattered span stay cache-resident
 		OSCBuf:          128 << 10,
 		UseFF:           true,
-		FFMinBlock:      0,
 		HandlerLatency:  500 * time.Nanosecond,
 		CallOverhead:    250 * time.Nanosecond,
 
-		Path:          PathAdaptive,
-		PathEWMA:      defaultPathEWMA,
-		DMASGMinBlock: 0,
+		Path: PathAdaptive,
 
 		Coll:     CollAuto,
 		CollSlot: 256 << 10, // two double-buffered 128 KiB halves per pair
-		CollEWMA: defaultPathEWMA,
 
 		RendezvousTimeout: 0, // wait forever unless a run opts into watchdogs
 		SendRetryMax:      6,
@@ -181,27 +161,12 @@ type Config struct {
 
 	// Shards selects the engine Run constructs: 0 or 1 (the default) runs
 	// the world on the sequential oracle; >1 builds a conservative-parallel
-	// sim.ShardedEngine and hosts the world on one of its locales. The
+	// sim.ShardedEngine and hosts the world on its locale 0. The
 	// virtual outcome — end time, message schedule, flight dump — is
 	// byte-identical either way: the world is confined to a single locale,
 	// so its event schedule is governed only by that locale's (time, seq)
 	// heap order, which the sharded engine preserves exactly.
 	Shards int
-	// Locale selects which locale of the fabric hosts the world (for Run
-	// with Shards > 1, and for NewWorldOn on a multi-locale fabric).
-	Locale int
-	// Lookahead is the conservative lookahead Run gives a sharded engine;
-	// 0 uses the SCI segment latency (the minimum delay of any cross-shard
-	// interaction on the paper's hardware).
-	Lookahead time.Duration
-	// Placement, when non-nil, maps world ranks onto fabric locales. The
-	// full protocol world must be confined to one locale (its ranks share
-	// ports, windows and chooser state at zero delay), so every rank must
-	// be placed on the same shard — NewWorldOn takes that shard as the
-	// hosting locale. Distributed placements (ranks spread across shards)
-	// are the domain of the torus collective runtime (TorusWorld), whose
-	// node actors interact only through link-latency sends.
-	Placement *Placement
 }
 
 // DefaultConfig returns a cluster of nodes dual-SMP nodes matching the
@@ -252,13 +217,13 @@ type World struct {
 
 	// Collective algorithm engine state: the lazily built one-sided
 	// windows (one SharedSeg per owning rank, a per-source view matrix)
-	// and the chooser's feedback tables (see collalg.go). All of it is
-	// mutated from rank processes without locking: the simulation is
-	// single-threaded.
+	// the per-kind choosers with the per-call decision memo (see
+	// collalg.go). All of it is mutated from rank processes without
+	// locking: the simulation is single-threaded.
 	collWins  []*SharedSeg
 	collViews [][]smi.Mem
-	collLive  collEWMATable
-	collSnaps map[collSnapKey]*collSnap
+	collLive  [collKindCount]chooser[CollAlg]
+	collMemo  map[collCall]collDecision
 
 	met worldMetrics
 	// packFF/packGeneric accumulate the block structure of every pack and
@@ -376,7 +341,7 @@ type rank struct {
 	w          *World
 	id         int
 	node       int
-	actor      string     // cached "rank<i>" (avoids Sprintf on the send hot path)
+	actor      string       // cached "rank<i>" (avoids Sprintf on the send hot path)
 	fl         *flight.Ring // cached flight ring for the actor (nil without a recorder)
 	dev        *device
 	p          *sim.Proc // the user process, set when spawned
@@ -405,10 +370,9 @@ type sendPort struct {
 	slot    int        // next eager slot (round-robin, guarded by credits)
 	msgSeq  int64      // sequence stamp for message-bearing envelopes
 
-	// paths holds the adaptive chooser's per-path EWMA of achieved deposit
-	// bandwidth toward this peer, bytes/sec (0 = never exercised). Guarded
+	// paths is the adaptive deposit-path chooser toward this peer. Guarded
 	// by rdvLock, like the transfers it describes.
-	paths [depositPathCount]float64
+	paths chooser[depositPath]
 }
 
 func (w *World) protocol() *ProtocolConfig { return &w.cfg.Protocol }
@@ -432,40 +396,18 @@ func (w *World) oscOff() int64 {
 	return int64(p.EagerSlots)*p.EagerMax + 2*p.RendezvousChunk
 }
 
-// hostingLocale resolves which locale of f hosts the world: the shard all
-// ranks of cfg.Placement agree on, or cfg.Locale without a placement.
-func hostingLocale(f sim.Fabric, cfg Config) int {
-	loc := cfg.Locale
-	if p := cfg.Placement; p != nil {
-		if p.Size() != cfg.Nodes*cfg.ProcsPerNode {
-			panic(fmt.Sprintf("mpi: placement covers %d ranks, world has %d", p.Size(), cfg.Nodes*cfg.ProcsPerNode))
-		}
-		loc = p.ShardOf(0)
-		for r := 1; r < p.Size(); r++ {
-			if p.ShardOf(r) != loc {
-				panic(fmt.Sprintf("mpi: rank %d placed on shard %d but rank 0 on %d: "+
-					"the full protocol world is confined to one locale (use TorusWorld for distributed placements)",
-					r, p.ShardOf(r), loc))
-			}
-		}
-	}
-	if loc < 0 || loc >= f.Locales() {
-		panic(fmt.Sprintf("mpi: hosting locale %d outside fabric of %d", loc, f.Locales()))
-	}
-	return loc
-}
-
 // newWorld wires the cluster — interconnect, per-node buses, ranks, ports —
-// confined to one locale of the fabric.
+// confined to locale 0 of the fabric.
 func newWorld(f sim.Fabric, cfg Config) *World {
 	if cfg.Nodes < 1 || cfg.ProcsPerNode < 1 {
 		panic("mpi: need at least one node and one proc per node")
 	}
-	w := &World{cfg: cfg, fabric: f, host: f.Locale(hostingLocale(f, cfg)), size: cfg.Nodes * cfg.ProcsPerNode}
+	w := &World{cfg: cfg, fabric: f, host: f.Locale(0), size: cfg.Nodes * cfg.ProcsPerNode}
 	e := w.host
 	w.met = newWorldMetrics(cfg.Metrics)
 	w.suspects = make([]bool, w.size)
 	w.revoked = make([]bool, w.size)
+	w.collMemo = make(map[collCall]collDecision)
 	if cfg.Nodes > 1 {
 		switch cfg.Kind {
 		case InterconnectSCI:

@@ -207,6 +207,7 @@ func (m *Mapping) WriteWord(p *sim.Proc, off int64, src []byte) {
 	from := m.from
 	from.stats.writeOps.Add(1)
 	from.stats.bytesWritten.Add(n)
+	from.ic.met.bytesWritten.Add(n)
 	p.Sleep(from.ic.Cfg.WriteIssueOverhead)
 	if !m.Remote() {
 		copy(m.seg.buf[off:], src)

@@ -53,7 +53,8 @@ type (
 	// Fabric is the simulation substrate a world runs on: a set of
 	// locales advancing one virtual clock (internal/sim.Fabric).
 	Fabric = sim.Fabric
-	// Placement assigns world ranks to fabric locales.
+	// Placement is a torus machine's node-to-locale assignment
+	// (TorusWorld.Placement).
 	Placement = mpi.Placement
 	// TorusConfig parameterizes the §6-scale 3-D torus collective machine
 	// (TorusWorld): a dx*dy*dz node grid running the chunked ring
@@ -161,14 +162,13 @@ var Run = mpi.Run
 
 // Fabric-first construction: NewFabric builds the engine Run would use for
 // a Config, RunOn runs a cluster on an existing fabric, and NewWorldOn
-// wires a cluster onto a fabric locale without running it — for harnesses
-// that mix in extra simulation components. NewLocalFabric wraps a fresh
+// wires a cluster onto locale 0 of a fabric without running it — for
+// harnesses that mix in extra simulation components. NewLocalFabric wraps a fresh
 // sequential engine as an n-locale fabric.
 var (
 	NewFabric      = mpi.NewFabric
 	RunOn          = mpi.RunOn
 	NewWorldOn     = mpi.NewWorldOn
-	NewPlacement   = mpi.NewPlacement
 	NewLocalFabric = sim.NewLocalFabric
 )
 
