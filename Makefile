@@ -56,9 +56,10 @@ perfbench-selftest:
 	cd perfbench && $(GO) test ./...
 
 # alloc-test runs only the allocation-pinned hot-path tests (0 allocs/op on
-# pack and PIO fast paths); CI fails the bench job if these regress.
+# pack and PIO fast paths, only the Flow and its Future per flow-solver
+# Start→completion cycle); CI fails the bench job if these regress.
 alloc-test:
-	$(GO) test -run 'TestAllocs|AllocFree' -v ./internal/pack/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/
+	$(GO) test -run 'TestAllocs|AllocFree' -v ./internal/pack/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/flow/
 
 # trace-demo produces a Chrome trace-event timeline from a ping-pong sweep
 # (load /tmp/scimpich-trace.json in Perfetto or chrome://tracing) and

@@ -5,16 +5,21 @@ package bench
 // constructors in internal/mpi:
 //
 //   - "torus-allreduce": the §6-scale 512-node (8x8x8 torus) chunked ring
-//     allreduce (mpi.TorusWorld), once on the sequential oracle with one
-//     monolithic flow network — the baseline — and once per shard count on
-//     the conservative-parallel ShardedEngine. Every sharded run must
-//     reproduce the oracle's final virtual time, checksum and flight-dump
-//     hash exactly (byte-identical schedule per seed), and the widest
-//     configuration must finish at least twice as fast in wall-clock
-//     terms. The speedup is partly algorithmic — each shard's network
-//     settles and scans only its own flows instead of all 512 — so the
-//     bound holds even on a single-CPU runner; the envelope records ncpu
-//     so readers can judge how much true parallelism contributed.
+//     allreduce (mpi.TorusWorld) on two sequential baselines and on the
+//     conservative-parallel ShardedEngine at each shard count. The
+//     "sequential" row runs the whole machine on one locale, one flow
+//     network; the "sequential-partitioned" row runs the sequential engine
+//     over as many locales — one flow network each — as the widest sharded
+//     row. Each row differs from the next in one thing: the solve's
+//     partitioning, then parallel shards. Every other row must reproduce
+//     the monolithic row's final virtual time, checksum and flight-dump
+//     hash exactly (byte-identical schedule per seed); every sharded row
+//     records its speedup against both baselines; and the widest
+//     configuration must finish at least twice as fast as the monolithic
+//     row in wall-clock terms. The flow solver's per-event work is local
+//     to the flows whose rates change, so partitioning buys little on its
+//     own and the gate measures mostly parallel execution; the envelope
+//     records ncpu, which bounds that parallelism.
 //
 //   - "mpi-allreduce": the full MPI protocol stack (short/eager/rendezvous
 //     device, forced ring Allreduce) as a confined world hosted on one
@@ -46,7 +51,7 @@ import (
 // suite.
 type EngineResult struct {
 	Workload string `json:"workload"` // "torus-allreduce" or "mpi-allreduce"
-	Engine   string `json:"engine"`   // "sequential" or "sharded"
+	Engine   string `json:"engine"`   // "sequential", "sequential-partitioned" or "sharded"
 	Shards   int    `json:"shards"`
 	Nodes    int    `json:"nodes"`
 	Steps    int    `json:"steps"`
@@ -56,13 +61,16 @@ type EngineResult struct {
 	VirtualNS    int64   `json:"virtual_ns"`
 	WallNS       int64   `json:"wall_ns"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup"` // baseline wall / this wall
+	Speedup      float64 `json:"speedup"` // monolithic sequential wall / this wall
+	// SpeedupPartitioned is the sequential-partitioned wall / this wall, on
+	// sharded torus rows.
+	SpeedupPartitioned float64 `json:"speedup_partitioned,omitempty"`
 
 	Checksum string `json:"checksum"` // reduced-vector wrapping sum, hex
 	DumpFNV  string `json:"dump_fnv"` // FNV-1a of the merged flight dump
 
-	// Gates: schedule determinism on every sharded row, the wall-clock
-	// bound on the widest torus row.
+	// Gates: schedule determinism on every row checked against a baseline,
+	// the wall-clock bound on the widest torus row.
 	GateDeterministic bool `json:"gate_deterministic,omitempty"`
 	GateSpeedup2x     bool `json:"gate_speedup_2x,omitempty"`
 }
@@ -82,16 +90,16 @@ const (
 	mpiStackIters = 2
 )
 
-func engineRow(cfg mpi.TorusConfig, sharded bool) (EngineResult, error) {
+// engineRow runs the torus allreduce once: on the sharded engine when
+// engine is "sharded", otherwise on the sequential oracle over cfg.Shards
+// locales.
+func engineRow(cfg mpi.TorusConfig, engine string) (EngineResult, error) {
 	cfg.Registry = obs.NewRegistry()
-	var m *mpi.TorusWorld
-	engine := "sequential"
-	if sharded {
-		m = mpi.NewTorusWorldOn(mpi.NewTorusFabric(cfg), cfg)
-		engine = "sharded"
-	} else {
-		m = mpi.NewTorusWorldOn(mpi.NewTorusOracle(cfg), cfg)
+	fab := mpi.NewTorusOracle(cfg)
+	if engine == "sharded" {
+		fab = mpi.NewTorusFabric(cfg)
 	}
+	m := mpi.NewTorusWorldOn(fab, cfg)
 	start := time.Now()
 	res, err := m.Run()
 	wall := time.Since(start)
@@ -209,32 +217,44 @@ func RunEngineBench() ([]EngineResult, bool) {
 	return RunEngineBenchAt(EngineDims[0], EngineDims[1], EngineDims[2], EngineShardCounts, true)
 }
 
-// RunEngineBenchAt runs the torus allreduce on a dx*dy*dz torus,
-// sequentially and at each sharded configuration, then the full-stack MPI
-// allreduce across the same shard counts. Determinism against the
-// respective sequential oracle is gated on every sharded row; the 2x
-// wall-clock gate applies to the last (widest) torus shard count when
-// gateSpeedup is set — small test machines can check determinism without
-// pinning a timing claim.
+// RunEngineBenchAt runs the torus allreduce on a dx*dy*dz torus on the
+// monolithic and the partitioned sequential baselines and at each sharded
+// configuration, then the full-stack MPI allreduce across the same shard
+// counts. Determinism against the respective monolithic oracle is gated on
+// every other row; the 2x wall-clock gate applies to the last (widest)
+// torus shard count when gateSpeedup is set — small test machines can
+// check determinism without pinning a timing claim.
 func RunEngineBenchAt(dx, dy, dz int, shardCounts []int, gateSpeedup bool) ([]EngineResult, bool) {
-	seq, err := engineRow(mpi.DefaultTorusConfig(dx, dy, dz, 1), false)
+	seq, err := engineRow(mpi.DefaultTorusConfig(dx, dy, dz, 1), "sequential")
 	if err != nil {
 		return nil, false
 	}
 	seq.Speedup = 1
-	rows := []EngineResult{seq}
+	widest := shardCounts[len(shardCounts)-1]
+	part, err := engineRow(mpi.DefaultTorusConfig(dx, dy, dz, widest), "sequential-partitioned")
+	if err != nil {
+		return []EngineResult{seq}, false
+	}
+	rows := []EngineResult{seq, part}
 	ok := true
-	for i, shards := range shardCounts {
-		r, err := engineRow(mpi.DefaultTorusConfig(dx, dy, dz, shards), true)
-		if err != nil {
-			return rows, false
-		}
+	gate := func(r *EngineResult) {
 		if r.WallNS > 0 {
 			r.Speedup = float64(seq.WallNS) / float64(r.WallNS)
+			if r.Engine == "sharded" {
+				r.SpeedupPartitioned = float64(part.WallNS) / float64(r.WallNS)
+			}
 		}
 		r.GateDeterministic = r.VirtualNS == seq.VirtualNS &&
 			r.Checksum == seq.Checksum && r.DumpFNV == seq.DumpFNV
 		ok = ok && r.GateDeterministic
+	}
+	gate(&rows[1])
+	for i, shards := range shardCounts {
+		r, err := engineRow(mpi.DefaultTorusConfig(dx, dy, dz, shards), "sharded")
+		if err != nil {
+			return rows, false
+		}
+		gate(&r)
 		if gateSpeedup && i == len(shardCounts)-1 {
 			r.GateSpeedup2x = r.Speedup >= 2
 			ok = ok && r.GateSpeedup2x
@@ -261,7 +281,7 @@ func RunEngineBenchAt(dx, dy, dz int, shardCounts []int, gateSpeedup bool) ([]En
 // at the given shard count and returns its row (no baseline, no gates) —
 // the measured §6 run behind cmd/scaling's torus report.
 func RunEngine512(shards int) (EngineResult, error) {
-	return engineRow(mpi.DefaultTorusConfig(EngineDims[0], EngineDims[1], EngineDims[2], shards), true)
+	return engineRow(mpi.DefaultTorusConfig(EngineDims[0], EngineDims[1], EngineDims[2], shards), "sharded")
 }
 
 // engineFile is the envelope of the BENCH_engine.json artifact.
@@ -292,23 +312,29 @@ func WriteEngineJSON(path string, results []EngineResult) error {
 }
 
 // FormatEngine renders the sharded-engine suite as an aligned text table.
+// "speedup" is against the monolithic sequential row, "vs part" against
+// the sequential-partitioned one.
 func FormatEngine(results []EngineResult) string {
 	out := fmt.Sprintf("engine (512-node torus + full-stack MPI ring allreduce, ncpu=%d):\n", runtime.NumCPU())
-	out += fmt.Sprintf("  %-15s %-10s %6s %8s %8s %12s %10s %10s %8s  %s\n",
-		"workload", "engine", "shards", "events", "windows", "virtual", "wall", "ev/s", "speedup", "gates")
+	out += fmt.Sprintf("  %-15s %-22s %6s %8s %8s %12s %10s %10s %8s %8s  %s\n",
+		"workload", "engine", "shards", "events", "windows", "virtual", "wall", "ev/s", "speedup", "vs part", "gates")
 	for _, r := range results {
 		gates := "-"
-		if r.Engine == "sharded" {
+		if r.Engine != "sequential" {
 			gates = fmt.Sprintf("det=%v", r.GateDeterministic)
-			if r.Workload == "torus-allreduce" &&
+			if r.Workload == "torus-allreduce" && r.Engine == "sharded" &&
 				(r.GateSpeedup2x || r.Shards == EngineShardCounts[len(EngineShardCounts)-1]) {
 				gates += fmt.Sprintf(" 2x=%v", r.GateSpeedup2x)
 			}
 		}
-		out += fmt.Sprintf("  %-15s %-10s %6d %8d %8d %12v %10v %10.0f %7.2fx  %s\n",
+		vsPart := "-"
+		if r.SpeedupPartitioned > 0 {
+			vsPart = fmt.Sprintf("%.2fx", r.SpeedupPartitioned)
+		}
+		out += fmt.Sprintf("  %-15s %-22s %6d %8d %8d %12v %10v %10.0f %7.2fx %8s  %s\n",
 			r.Workload, r.Engine, r.Shards, r.Events, r.Windows,
 			time.Duration(r.VirtualNS), time.Duration(r.WallNS).Round(time.Millisecond),
-			r.EventsPerSec, r.Speedup, gates)
+			r.EventsPerSec, r.Speedup, vsPart, gates)
 	}
 	return out
 }

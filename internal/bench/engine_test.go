@@ -6,7 +6,7 @@ import (
 )
 
 // TestEngineBenchSmall runs the engine suite on a 4x4x4 machine — big
-// enough to exercise the sequential row plus two sharded configurations,
+// enough to exercise both sequential rows plus two sharded configurations,
 // small enough for the test suite. The timing gate is off (a 64-node run on
 // a loaded test runner proves nothing about wall-clock); the determinism
 // gates must hold at any scale, on both the torus and the full-stack MPI
@@ -16,13 +16,17 @@ func TestEngineBenchSmall(t *testing.T) {
 	if !ok {
 		t.Fatalf("engine gates failed: %+v", rows)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("got %d rows, want 6 (3 torus + 3 mpi-stack)", len(rows))
+	if len(rows) != 7 {
+		t.Fatalf("got %d rows, want 7 (4 torus + 3 mpi-stack)", len(rows))
 	}
 	if rows[0].Workload != "torus-allreduce" || rows[0].Engine != "sequential" || rows[0].Speedup != 1 {
 		t.Fatalf("torus baseline row = %+v", rows[0])
 	}
-	for _, r := range rows[1:3] {
+	if r := rows[1]; r.Engine != "sequential-partitioned" || r.Shards != 4 || !r.GateDeterministic ||
+		r.VirtualNS != rows[0].VirtualNS || r.DumpFNV != rows[0].DumpFNV {
+		t.Fatalf("partitioned sequential row not deterministic: %+v vs %+v", r, rows[0])
+	}
+	for _, r := range rows[2:4] {
 		if r.Workload != "torus-allreduce" || r.Engine != "sharded" || !r.GateDeterministic {
 			t.Fatalf("sharded torus row not deterministic: %+v", r)
 		}
@@ -32,20 +36,23 @@ func TestEngineBenchSmall(t *testing.T) {
 		if r.Windows == 0 {
 			t.Fatalf("sharded row ran no windows: %+v", r)
 		}
+		if r.Speedup <= 0 || r.SpeedupPartitioned <= 0 {
+			t.Fatalf("sharded row lacks a speedup against both baselines: %+v", r)
+		}
 	}
-	if rows[3].Workload != "mpi-allreduce" || rows[3].Engine != "sequential" {
-		t.Fatalf("mpi-stack baseline row = %+v", rows[3])
+	if rows[4].Workload != "mpi-allreduce" || rows[4].Engine != "sequential" {
+		t.Fatalf("mpi-stack baseline row = %+v", rows[4])
 	}
-	for _, r := range rows[4:] {
+	for _, r := range rows[5:] {
 		if r.Workload != "mpi-allreduce" || r.Engine != "sharded" || !r.GateDeterministic {
 			t.Fatalf("sharded mpi-stack row not deterministic: %+v", r)
 		}
-		if r.VirtualNS != rows[3].VirtualNS || r.Checksum != rows[3].Checksum || r.DumpFNV != rows[3].DumpFNV {
-			t.Fatalf("mpi-stack row diverged from oracle: %+v vs %+v", r, rows[3])
+		if r.VirtualNS != rows[4].VirtualNS || r.Checksum != rows[4].Checksum || r.DumpFNV != rows[4].DumpFNV {
+			t.Fatalf("mpi-stack row diverged from oracle: %+v vs %+v", r, rows[4])
 		}
 	}
 	out := FormatEngine(rows)
-	if !strings.Contains(out, "sequential") || !strings.Contains(out, "det=true") ||
+	if !strings.Contains(out, "sequential-partitioned") || !strings.Contains(out, "det=true") ||
 		!strings.Contains(out, "mpi-allreduce") {
 		t.Fatalf("FormatEngine output missing expected fields:\n%s", out)
 	}

@@ -19,6 +19,7 @@ func TestIncrementalMatchesFullSolve(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine()
 		n := NewNetwork(e)
+		watch(t, n)
 		links := make([]*Link, 8)
 		for i := range links {
 			links[i] = NewLink("l", float64(rng.Intn(400)+50)*mib, nil)
@@ -26,9 +27,9 @@ func TestIncrementalMatchesFullSolve(t *testing.T) {
 		// A couple of congested links exercise effectiveCapacity ordering.
 		links[0] = NewLink("c0", 200*mib, BusCongestion{PerFlowPenalty: 0.05, Floor: 0.4})
 		check := func() {
-			want := make(map[*Flow]float64, len(n.flows))
-			for f := range n.flows {
-				want[f] = f.rate
+			want := make(map[*Flow]float64, len(n.heap))
+			for _, e := range n.heap {
+				want[e.f] = e.f.rate
 			}
 			n.solveAll()
 			for f, r := range want {

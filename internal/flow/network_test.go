@@ -311,6 +311,15 @@ func TestNetworkMetrics(t *testing.T) {
 	if hs.Max < int64(499*time.Millisecond) || hs.Max > int64(1100*time.Millisecond) {
 		t.Errorf("flow.transfer.ns max = %v, implausible", time.Duration(hs.Max))
 	}
+	// Components re-solved: {a} when a starts, {a, b} when b joins, {a}
+	// when b leaves; a's departure leaves an empty link, nothing to solve.
+	if got := reg.Counter("flow.solves").Value(); got != 3 {
+		t.Errorf("flow.solves = %d, want 3", got)
+	}
+	cs := reg.Histogram("flow.component.flows").Snapshot()
+	if cs.Count != 3 || cs.Sum != 4 || cs.Max != 2 {
+		t.Errorf("flow.component.flows count/sum/max = %d/%d/%d, want 3/4/2", cs.Count, cs.Sum, cs.Max)
+	}
 }
 
 func TestNetworkMetricsNilRegistry(t *testing.T) {

@@ -53,6 +53,7 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 	prop := func(s netSpec) bool {
 		e := sim.NewEngine()
 		n := NewNetwork(e)
+		watch(t, n)
 		links := make([]*Link, len(s.LinkCaps))
 		for i, c := range s.LinkCaps {
 			links[i] = NewLink("l", float64(c)*mib, nil)

@@ -144,50 +144,31 @@ func NewTorusFabric(cfg TorusConfig) sim.Fabric {
 
 // NewTorusOracle builds the sequential-oracle fabric for cfg: the same
 // locale count over one sequential engine, the differential-testing
-// baseline for the sharded fabric.
+// baseline for the sharded fabric. At cfg.Shards = 1 the whole machine
+// shares one flow network — the monolithic baseline.
 func NewTorusOracle(cfg TorusConfig) sim.Fabric {
 	top, assign := buildTorusTopology(cfg)
 	return sim.NewSeqFabric(sim.NewEngine(), cfg.Shards, TorusLookahead(top, assign, cfg.SegmentLatency))
 }
 
-// NewTorusWorldOn builds the torus machine on an existing fabric. On a
-// sharded engine every locale gets its own flow network (the per-shard
-// solve); on any other fabric all locales share one monolithic network —
-// the oracle baseline whose per-event costs grow with the whole machine's
-// flow count.
+// NewTorusWorldOn builds the torus machine on an existing fabric. Every
+// locale gets its own flow network, whatever engine drives the fabric, so
+// cfg.Shards alone decides how the solve is partitioned: one locale is one
+// monolithic network, and per-locale solves are bit-identical to it
+// because no flow spans two locales.
 func NewTorusWorldOn(f sim.Fabric, cfg TorusConfig) *TorusWorld {
 	top, assign := buildTorusTopology(cfg)
 	if f.Locales() != cfg.Shards {
 		panic(fmt.Sprintf("mpi: torus config wants %d locales, fabric has %d", cfg.Shards, f.Locales()))
 	}
 	nets := make([]*flow.Network, cfg.Shards)
-	if _, sharded := f.(*sim.ShardedEngine); sharded {
-		for i := range nets {
-			nets[i] = flow.NewNetworkOn(f.Locale(i))
-			nets[i].SetMetrics(cfg.Registry)
-		}
-	} else {
-		net := flow.NewNetworkOn(f.Locale(0))
-		net.SetMetrics(cfg.Registry)
-		for i := range nets {
-			nets[i] = net
-		}
+	for i := range nets {
+		nets[i] = flow.NewNetworkOn(f.Locale(i))
+		nets[i].SetMetrics(cfg.Registry)
 	}
-	return buildTorusWorld(cfg, f, top, assign, nets)
-}
-
-func buildTorusTopology(cfg TorusConfig) (*torus.Topology, []int) {
-	if cfg.DX*cfg.DY*cfg.DZ < 2 {
-		panic("mpi: torus machine needs at least two nodes")
-	}
-	top := torus.New(cfg.DX, cfg.DY, cfg.DZ, cfg.LinkBW, nil).SetLinkLatency(cfg.SegmentLatency)
-	return top, top.PartitionZ(cfg.Shards)
-}
-
-func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assign []int, nets []*flow.Network) *TorusWorld {
 	n := top.Nodes()
 	m := &TorusWorld{
-		cfg: cfg, fab: fab, top: top,
+		cfg: cfg, fab: f, top: top,
 		place: NewPlacement(assign, cfg.Shards),
 		nodes: make([]*torusNode, n),
 		total: 2 * (n - 1),
@@ -205,7 +186,7 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 		next := (i + 1) % n
 		shard := m.place.ShardOf(i)
 		nd := &torusNode{
-			m: m, id: i, loc: fab.Locale(shard), net: nets[shard],
+			m: m, id: i, loc: f.Locale(shard), net: nets[shard],
 			next: next, nextLoc: m.place.ShardOf(next),
 			route:  flow.Path(top.Route(i, next)...),
 			chunks: make([]uint64, n),
@@ -217,6 +198,14 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 		m.nodes[i] = nd
 	}
 	return m
+}
+
+func buildTorusTopology(cfg TorusConfig) (*torus.Topology, []int) {
+	if cfg.DX*cfg.DY*cfg.DZ < 2 {
+		panic("mpi: torus machine needs at least two nodes")
+	}
+	top := torus.New(cfg.DX, cfg.DY, cfg.DZ, cfg.LinkBW, nil).SetLinkLatency(cfg.SegmentLatency)
+	return top, top.PartitionZ(cfg.Shards)
 }
 
 // Placement returns the node-to-locale placement of the machine.

@@ -26,7 +26,7 @@ func smallTorusCfg(shards int) mpi.TorusConfig {
 
 func TestTorusAllreduceSequentialCompletes(t *testing.T) {
 	reg := obs.NewRegistry()
-	cfg := smallTorusCfg(2)
+	cfg := smallTorusCfg(1)
 	cfg.Registry = reg
 	m := newTorusOracle(cfg)
 	res, err := m.Run()
@@ -65,8 +65,8 @@ func newTorusSharded(cfg mpi.TorusConfig) *mpi.TorusWorld {
 	return mpi.NewTorusWorldOn(mpi.NewTorusFabric(cfg), cfg)
 }
 
-// newTorusOracle builds the same program on the sequential engine, with
-// one monolithic flow network shared by all locales.
+// newTorusOracle builds the same program on the sequential engine, one flow
+// network per locale; smallTorusCfg(1) makes it the monolithic network.
 func newTorusOracle(cfg mpi.TorusConfig) *mpi.TorusWorld {
 	return mpi.NewTorusWorldOn(mpi.NewTorusOracle(cfg), cfg)
 }
@@ -102,8 +102,8 @@ func runTorus(t *testing.T, m *mpi.TorusWorld, reg *obs.Registry) torusOut {
 // TestTorusCrossEngineDeterminism is the differential-testing gate of the
 // sharded engine: the same seeded program must produce the identical final
 // virtual time, identical flight-dump bytes, identical metric counters and
-// the identical checksum on the sequential oracle and on the sharded engine
-// at every shard count.
+// the identical checksum on the sequential oracle with one monolithic flow
+// network and on the sharded engine at every shard count.
 func TestTorusCrossEngineDeterminism(t *testing.T) {
 	mk := func(shards int, sharded bool) (*mpi.TorusWorld, *obs.Registry) {
 		cfg := smallTorusCfg(shards)
@@ -114,7 +114,7 @@ func TestTorusCrossEngineDeterminism(t *testing.T) {
 		}
 		return newTorusOracle(cfg), cfg.Registry
 	}
-	om, oreg := mk(2, false)
+	om, oreg := mk(1, false)
 	oracle := runTorus(t, om, oreg)
 	if oracle.res.End <= 0 || len(oracle.dump) == 0 {
 		t.Fatal("oracle run produced no output")
